@@ -5,8 +5,20 @@
 // same mother code in lockstep. State is lane-major - posterior[v] and
 // message r[e] are short arrays with one element per frame - so one pass
 // over the (shared, 16-bit-compressed) adjacency updates every frame at
-// once and the inner loops auto-vectorize across lanes, the same trick
-// the clmul Toeplitz kernel plays across words.
+// once, the same trick the clmul Toeplitz kernel plays across words.
+//
+// Two kernels compute each iteration, chosen once per process:
+//   * AVX2 (x86-64 CPUs that report it, via __builtin_cpu_supports): one
+//     256-bit row holds 16 int16 lanes, batches round up to 16/32/48/64
+//     lanes, min1/min2/parity stay in registers across a check, and hard
+//     decisions come from packs + movemask. Built with a function-level
+//     target attribute, so the rest of the library stays baseline x86-64.
+//   * Portable (every other host): templated int16 lane loops at
+//     4/8/16/32/64 lanes, left to the compiler's baseline codegen (which
+//     stages min1/min2/parity through memory and packs hard decisions one
+//     lane at a time - 3-5x slower than AVX2 on the same host).
+// Both produce the same integers in every lane, so iterations, words and
+// leakage do not depend on which one ran.
 //
 // Fixed-point format: LLRs carry 3 fractional bits (scale 8) and saturate
 // at +-127, so the "known" magnitude kKnownLlr (64.0) pins to the rail.
@@ -64,6 +76,24 @@ void decode_syndrome_batch(const LdpcCode& code,
                            std::span<const QuantDecodeJob> jobs,
                            const DecoderConfig& config,
                            std::vector<DecodeResult>& results);
+
+namespace detail {
+
+/// The lockstep iteration kernels behind decode_syndrome_batch, exposed so
+/// tests and benches can run both on the same jobs.
+enum class MinSumKernel { kPortable, kAvx2 };
+
+/// kPortable always; kAvx2 on x86-64 CPUs reporting AVX2.
+bool min_sum_kernel_supported(MinSumKernel kernel) noexcept;
+
+/// decode_syndrome_batch with the kernel forced instead of chosen by the
+/// CPU. Throws when `kernel` is not supported on this host.
+void decode_syndrome_batch_with(MinSumKernel kernel, const LdpcCode& code,
+                                std::span<const QuantDecodeJob> jobs,
+                                const DecoderConfig& config,
+                                std::vector<DecodeResult>& results);
+
+}  // namespace detail
 
 /// Single-frame facade over the same quantized kernel (a one-job batch;
 /// bit-identical to the frame's result inside any batch).

@@ -1,14 +1,17 @@
 // Batched quantized reconciliation: the decode-equivalence property (a
-// frame decodes bit-identically alone or inside any batch), batch key
-// reconciliation vs the sequential single-frame reference (corrected
-// payloads AND leak accounting), the blind-vs-fixed-rate disclosure
-// ordering on a quiet channel, and the batched planner's shape.
+// frame decodes bit-identically alone or inside any batch, and under the
+// AVX2 or the portable kernel), batch key reconciliation vs the sequential
+// single-frame reference (corrected payloads AND leak accounting), the
+// blind-vs-fixed-rate disclosure ordering on a quiet channel, and the
+// batched planner's shape.
 #include "reconcile/batch_decoder.hpp"
 #include "reconcile/reconciler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -83,6 +86,98 @@ TEST(BatchDecoder, BatchEqualsSingleFrameBitExact) {
   }
   EXPECT_GE(converged, 5u);  // the quiet jobs must actually decode
 }
+
+// --- kernel-level equivalence: AVX2 vs portable --------------------------
+
+// The AVX2 kernel must compute the portable kernel's integers in every
+// lane: same convergence, same iteration, same word for every job, at
+// every batch size (partial 16-lane rows, 17 and 33 spilling into another
+// row, the full 64) on a PEG n = 4096 code and the quasi-cyclic n = 16380
+// code. Per-job noise spreads convergence over many iterations, and the
+// pinned +-kKnownLlr positions sit on the int8 rails.
+class MinSumKernelEquivalence
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(MinSumKernelEquivalence, Avx2MatchesPortableBitExact) {
+  using detail::MinSumKernel;
+  if (!detail::min_sum_kernel_supported(MinSumKernel::kAvx2)) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  const LdpcCode& code = code_by_id(GetParam());
+  Xoshiro256 rng(1000 + GetParam());
+
+  std::vector<BitVec> syndromes;
+  std::vector<std::vector<float>> llrs;
+  for (std::size_t j = 0; j < kMaxBatchFrames; ++j) {
+    const BitVec x = rng.random_bits(code.n());
+    syndromes.push_back(code.syndrome(x));
+    const double q = 0.004 + 0.003 * static_cast<double>(j % 9);
+    const BitVec noisy = corrupt(x, q, rng);
+    std::vector<float> llr(code.n());
+    const float mag = bsc_llr(q);
+    for (std::size_t v = 0; v < code.n(); ++v) {
+      llr[v] = noisy.get(v) ? -mag : mag;
+    }
+    for (std::size_t v = j; v < code.n(); v += 41) llr[v] = 0.0f;
+    for (std::size_t v = j + 3; v < code.n(); v += 29) {
+      llr[v] = x.get(v) ? -kKnownLlr : kKnownLlr;
+    }
+    // A quarter of the jobs also carry a few confidently wrong positions:
+    // their checks pull posteriors far past the rails in both directions,
+    // the only place a mis-clamped q shows up in the output.
+    for (std::size_t v = j + 7; j % 4 == 3 && v < code.n(); v += 331) {
+      llr[v] = x.get(v) ? 12.0f : -12.0f;
+    }
+    llrs.push_back(std::move(llr));
+  }
+  std::vector<QuantDecodeJob> all(kMaxBatchFrames);
+  for (std::size_t j = 0; j < kMaxBatchFrames; ++j) {
+    all[j] = {&syndromes[j], &llrs[j]};
+  }
+
+  DecoderConfig config;
+  config.max_iterations = 20;
+  std::size_t converged = 0;
+  std::size_t failed = 0;
+  std::vector<unsigned> iterations_seen;
+  for (const std::size_t batch : {1, 2, 4, 9, 16, 17, 33, 64}) {
+    const std::span<const QuantDecodeJob> jobs(all.data(), batch);
+    std::vector<DecodeResult> portable;
+    std::vector<DecodeResult> avx2;
+    detail::decode_syndrome_batch_with(MinSumKernel::kPortable, code, jobs,
+                                       config, portable);
+    detail::decode_syndrome_batch_with(MinSumKernel::kAvx2, code, jobs,
+                                       config, avx2);
+    ASSERT_EQ(portable.size(), batch);
+    ASSERT_EQ(avx2.size(), batch);
+    for (std::size_t j = 0; j < batch; ++j) {
+      EXPECT_EQ(avx2[j].converged, portable[j].converged)
+          << "batch " << batch << " job " << j;
+      EXPECT_EQ(avx2[j].iterations, portable[j].iterations)
+          << "batch " << batch << " job " << j;
+      EXPECT_EQ(avx2[j].word, portable[j].word)
+          << "batch " << batch << " job " << j;
+      if (batch == kMaxBatchFrames) {
+        (portable[j].converged ? converged : failed) += 1;
+        iterations_seen.push_back(portable[j].iterations);
+      }
+    }
+  }
+  // The batch must really mix outcomes, or lanes never diverge.
+  std::sort(iterations_seen.begin(), iterations_seen.end());
+  const auto distinct = static_cast<std::size_t>(
+      std::unique(iterations_seen.begin(), iterations_seen.end()) -
+      iterations_seen.begin());
+  EXPECT_GE(converged, 8u);
+  EXPECT_GE(failed, 1u);
+  EXPECT_GE(distinct, 4u);
+}
+
+// Code ids from the built-in table: 7 is the PEG (n = 4096, rate 0.8)
+// code, 13 the quasi-cyclic n = 16380 rate-0.8 code.
+INSTANTIATE_TEST_SUITE_P(Codes, MinSumKernelEquivalence,
+                         ::testing::Values(std::uint32_t{7},
+                                           std::uint32_t{13}));
 
 // --- key-level equivalence over a (seed, QBER) grid ---------------------
 
