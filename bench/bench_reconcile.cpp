@@ -253,8 +253,14 @@ KernelAb run_kernel_ab(const Arm& arm, std::uint64_t seed) {
     }
     llrs.push_back(std::move(llr));
   }
+  std::vector<std::vector<std::int8_t>> priors(frames);
   std::vector<reconcile::QuantDecodeJob> jobs(frames);
-  for (std::size_t f = 0; f < frames; ++f) jobs[f] = {&syndromes[f], &llrs[f]};
+  for (std::size_t f = 0; f < frames; ++f) {
+    priors[f].resize(code.n());
+    std::transform(llrs[f].begin(), llrs[f].end(), priors[f].begin(),
+                   reconcile::quantize_llr);
+    jobs[f] = {&syndromes[f], &priors[f]};
+  }
 
   KernelAb ab;
   ab.avx2 = reconcile::detail::min_sum_kernel_supported(

@@ -1,10 +1,9 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -111,16 +110,20 @@ std::vector<std::uint32_t> Xoshiro256::sample_without_replacement(
     std::size_t n, std::size_t k) {
   QKDPP_REQUIRE(k <= n, "cannot sample more than population");
   if (k == 0) return {};
-  // For small k relative to n use rejection against a hash set; otherwise a
-  // partial Fisher-Yates over the full index range.
-  std::vector<std::uint32_t> out;
-  out.reserve(k);
+  // The chosen set lands in a bitmap over [0, n); walking its words with
+  // count-trailing-zeros yields the ascending order without a sort. For
+  // small k relative to n draw with rejection against the bitmap;
+  // otherwise run a partial Fisher-Yates over the full index range.
+  std::vector<std::uint64_t> chosen(BitVec::words_for(n), 0);
   if (k * 20 < n) {
-    std::unordered_set<std::uint32_t> seen;
-    seen.reserve(k * 2);
-    while (out.size() < k) {
+    for (std::size_t drawn = 0; drawn < k;) {
       const auto candidate = static_cast<std::uint32_t>(uniform(n));
-      if (seen.insert(candidate).second) out.push_back(candidate);
+      std::uint64_t& word = chosen[candidate >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (candidate & 63);
+      if ((word & bit) == 0) {
+        word |= bit;
+        ++drawn;
+      }
     }
   } else {
     std::vector<std::uint32_t> pool(n);
@@ -128,10 +131,17 @@ std::vector<std::uint32_t> Xoshiro256::sample_without_replacement(
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t j = i + static_cast<std::size_t>(uniform(n - i));
       std::swap(pool[i], pool[j]);
-      out.push_back(pool[i]);
+      chosen[pool[i] >> 6] |= std::uint64_t{1} << (pool[i] & 63);
     }
   }
-  std::sort(out.begin(), out.end());
+  std::vector<std::uint32_t> out;
+  out.reserve(k);
+  for (std::size_t wi = 0; wi < chosen.size(); ++wi) {
+    const auto base = static_cast<std::uint32_t>(wi << 6);
+    for (std::uint64_t w = chosen[wi]; w != 0; w &= w - 1) {
+      out.push_back(base + static_cast<std::uint32_t>(std::countr_zero(w)));
+    }
+  }
   return out;
 }
 

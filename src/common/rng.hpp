@@ -54,7 +54,10 @@ class Xoshiro256 {
   /// The identity permutation on n elements, shuffled.
   std::vector<std::uint32_t> permutation(std::size_t n) noexcept;
 
-  /// k distinct indices from [0, n), sorted ascending (partial Fisher-Yates).
+  /// k distinct indices from [0, n), ascending. Draws by rejection when
+  /// k * 20 < n, else by partial Fisher-Yates; either way the chosen
+  /// indices mark a bitmap over [0, n) whose word walk (count-trailing-
+  /// zeros) emits them in ascending order, so no sort runs.
   std::vector<std::uint32_t> sample_without_replacement(std::size_t n,
                                                         std::size_t k);
 

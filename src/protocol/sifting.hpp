@@ -29,7 +29,13 @@ struct AliceSiftOutcome {
 
 /// Run Alice's half of sifting against Bob's detection report.
 /// Throws Error{kProtocol} if the report references pulses out of range or
-/// its shape is inconsistent.
+/// its shape is inconsistent; detections are checked in order, so the first
+/// bad one names the error.
+///
+/// One pass over the detections, no per-bit appends: the basis match is a
+/// 0/1 word (no data-dependent branch), the keep mask is built a word per
+/// 64 detections, and the kept key and signal bits gather in registers
+/// that flush a word at a time into pre-sized vectors.
 AliceSiftOutcome sift_alice(const AliceTransmitLog& log,
                             const DetectionReport& report);
 

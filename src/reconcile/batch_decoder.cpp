@@ -333,16 +333,14 @@ void decode_lockstep(const LdpcCode& code,
   const std::size_t m = code.m();
   const std::size_t batch = jobs.size();
 
-  // Priors: lane l = frame l's quantized LLRs; pad lanes stay all-zero, so
+  // Priors: lane l = frame l's int8 priors; pad lanes stay all-zero, so
   // their messages, posteriors, and syndrome folds are identically zero
   // and never perturb real lanes.
   std::memset(buf.posterior, 0, n * lanes * sizeof(std::int16_t));
   for (std::size_t f = 0; f < batch; ++f) {
-    const std::vector<float>& llr = *jobs[f].llr;
+    const std::int8_t* prior = jobs[f].prior->data();
     std::int16_t* post = buf.posterior + f;
-    for (std::size_t v = 0; v < n; ++v) {
-      post[v * lanes] = quantize_llr(llr[v]);
-    }
+    for (std::size_t v = 0; v < n; ++v) post[v * lanes] = prior[v];
   }
   std::memset(buf.r, 0, code.edges() * lanes);
 
@@ -412,9 +410,9 @@ void decode_syndrome_batch_with(MinSumKernel kernel, const LdpcCode& code,
                 "batch decoder stores H with 16-bit indices");
   QKDPP_REQUIRE(config.max_iterations >= 1, "need at least one iteration");
   for (const QuantDecodeJob& job : jobs) {
-    QKDPP_REQUIRE(job.syndrome != nullptr && job.llr != nullptr,
-                  "batch job missing syndrome or llr");
-    QKDPP_REQUIRE(job.llr->size() == code.n(), "LLR length mismatch");
+    QKDPP_REQUIRE(job.syndrome != nullptr && job.prior != nullptr,
+                  "batch job missing syndrome or prior");
+    QKDPP_REQUIRE(job.prior->size() == code.n(), "prior length mismatch");
     QKDPP_REQUIRE(job.syndrome->size() == code.m(), "syndrome length mismatch");
   }
 
@@ -465,7 +463,9 @@ void decode_syndrome_batch(const LdpcCode& code,
 DecodeResult decode_syndrome_quant(const LdpcCode& code, const BitVec& syndrome,
                                    const std::vector<float>& llr,
                                    const DecoderConfig& config) {
-  const QuantDecodeJob job{&syndrome, &llr};
+  std::vector<std::int8_t> prior(llr.size());
+  std::transform(llr.begin(), llr.end(), prior.begin(), quantize_llr);
+  const QuantDecodeJob job{&syndrome, &prior};
   std::vector<DecodeResult> results;
   decode_syndrome_batch(code, {&job, 1}, config, results);
   return std::move(results.front());

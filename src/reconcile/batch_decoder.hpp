@@ -59,10 +59,14 @@ std::int8_t quantize_llr(float llr) noexcept;
 constexpr std::size_t kMaxBatchFrames = 64;
 
 /// One frame of a lockstep batch. All jobs in a batch share the code;
-/// each brings its own syndrome and float LLRs (quantized internally).
+/// each brings its own syndrome and its priors already in the decoder's
+/// int8 fixed-point format (quantize_llr of the float LLR: 3 fractional
+/// bits, saturating at +-127). Callers that reuse priors across blind
+/// attempts quantize once and patch revealed positions in place; the
+/// driver only copies the int8 rows into its lanes.
 struct QuantDecodeJob {
-  const BitVec* syndrome = nullptr;       ///< length code.m()
-  const std::vector<float>* llr = nullptr;  ///< length code.n()
+  const BitVec* syndrome = nullptr;             ///< length code.m()
+  const std::vector<std::int8_t>* prior = nullptr;  ///< length code.n()
 };
 
 /// Decode up to kMaxBatchFrames frames in lockstep. `results` is resized
@@ -95,8 +99,9 @@ void decode_syndrome_batch_with(MinSumKernel kernel, const LdpcCode& code,
 
 }  // namespace detail
 
-/// Single-frame facade over the same quantized kernel (a one-job batch;
-/// bit-identical to the frame's result inside any batch).
+/// Single-frame facade over the same quantized kernel: quantizes `llr`
+/// once and decodes it as a one-job batch (bit-identical to the frame's
+/// result inside any batch).
 DecodeResult decode_syndrome_quant(const LdpcCode& code, const BitVec& syndrome,
                                    const std::vector<float>& llr,
                                    const DecoderConfig& config);

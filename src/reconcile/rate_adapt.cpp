@@ -1,6 +1,7 @@
 #include "reconcile/rate_adapt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/entropy.hpp"
@@ -17,19 +18,41 @@ RateAdaptation derive_adaptation(std::size_t n, std::uint32_t n_punctured,
   Xoshiro256 rng(seed ^ 0xada97ca7104eULL);
   const auto perm = rng.permutation(n);
 
-  RateAdaptation adaptation;
-  adaptation.punctured.assign(perm.begin(), perm.begin() + n_punctured);
-  adaptation.shortened.assign(perm.begin() + n_punctured,
-                              perm.begin() + n_punctured + n_shortened);
-  std::sort(adaptation.punctured.begin(), adaptation.punctured.end());
-  std::sort(adaptation.shortened.begin(), adaptation.shortened.end());
+  // Mark both classes in bitmaps over [0, n); one count-trailing-zeros
+  // walk of the words then emits all three classes in ascending order.
+  const std::size_t n_words = BitVec::words_for(n);
+  std::vector<std::uint64_t> punctured(n_words, 0);
+  std::vector<std::uint64_t> shortened(n_words, 0);
+  for (std::size_t i = 0; i < n_punctured; ++i) {
+    punctured[perm[i] >> 6] |= std::uint64_t{1} << (perm[i] & 63);
+  }
+  for (std::size_t i = n_punctured; i < std::size_t{n_punctured} + n_shortened;
+       ++i) {
+    shortened[perm[i] >> 6] |= std::uint64_t{1} << (perm[i] & 63);
+  }
 
-  std::vector<std::uint8_t> special(n, 0);
-  for (const auto p : adaptation.punctured) special[p] = 1;
-  for (const auto s : adaptation.shortened) special[s] = 1;
+  RateAdaptation adaptation;
+  adaptation.payload_mask = BitVec(n);
+  auto mask_words = adaptation.payload_mask.mutable_words();
+  adaptation.punctured.reserve(n_punctured);
+  adaptation.shortened.reserve(n_shortened);
   adaptation.payload.reserve(n - n_punctured - n_shortened);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (!special[v]) adaptation.payload.push_back(v);
+  const auto emit = [](std::vector<std::uint32_t>& out, std::uint32_t base,
+                       std::uint64_t word) {
+    for (; word != 0; word &= word - 1) {
+      out.push_back(base + static_cast<std::uint32_t>(std::countr_zero(word)));
+    }
+  };
+  for (std::size_t wi = 0; wi < n_words; ++wi) {
+    const auto base = static_cast<std::uint32_t>(wi << 6);
+    std::uint64_t payload = ~(punctured[wi] | shortened[wi]);
+    if (wi == n_words - 1 && (n & 63) != 0) {
+      payload &= (std::uint64_t{1} << (n & 63)) - 1;
+    }
+    emit(adaptation.punctured, base, punctured[wi]);
+    emit(adaptation.shortened, base, shortened[wi]);
+    emit(adaptation.payload, base, payload);
+    mask_words[wi] = payload;
   }
   return adaptation;
 }

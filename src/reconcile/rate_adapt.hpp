@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitvec.hpp"
 #include "reconcile/ldpc_code.hpp"
 
 namespace qkdpp::reconcile {
@@ -24,10 +25,16 @@ struct RateAdaptation {
   std::vector<std::uint32_t> punctured;  ///< d positions, LLR 0 at receiver
   std::vector<std::uint32_t> shortened;  ///< s positions, pinned to 0
   std::vector<std::uint32_t> payload;    ///< n - d - s key positions, ascending
+  /// The payload positions as a mask over [0, n): placing a payload into a
+  /// frame is payload.scatter(payload_mask), reading it back is
+  /// frame.select(payload_mask).
+  BitVec payload_mask;
 };
 
-/// Derive the (punctured, shortened, payload) partition of [0, n).
-/// Both peers must call with identical arguments.
+/// Derive the (punctured, shortened, payload) partition of [0, n): the
+/// first d entries of a seeded permutation puncture, the next s shorten.
+/// Each class comes back ascending. Both peers must call with identical
+/// arguments.
 RateAdaptation derive_adaptation(std::size_t n, std::uint32_t n_punctured,
                                  std::uint32_t n_shortened,
                                  std::uint64_t seed);

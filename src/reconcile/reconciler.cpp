@@ -18,10 +18,7 @@ LdpcFrameSender::LdpcFrameSender(const FramePlan& plan, const BitVec& payload,
                 "payload does not match frame plan");
   adaptation_ = derive_adaptation(code.n(), plan.n_punctured,
                                   plan.n_shortened, frame_seed);
-  frame_ = BitVec(code.n());
-  for (std::size_t i = 0; i < adaptation_.payload.size(); ++i) {
-    if (payload.get(i)) frame_.set(adaptation_.payload[i], true);
-  }
+  frame_ = payload.scatter(adaptation_.payload_mask);
   // Punctured positions carry the sender's *private* randomness - never
   // transmitted, unknown to Eve; shortened positions stay 0.
   for (const auto p : adaptation_.punctured) {
@@ -86,7 +83,7 @@ void LdpcFrameReceiver::apply_reveal(
 }
 
 BitVec LdpcFrameReceiver::corrected_payload() const {
-  return decoded_.gather(adaptation_.payload);
+  return decoded_.select(adaptation_.payload_mask);
 }
 
 ReconcileOutcome ldpc_reconcile_local(const BitVec& alice_payload,
@@ -160,23 +157,27 @@ BatchReconcileStats ldpc_reconcile_key_batch(
     senders.emplace_back(plan, payload, frame_seeds[f], alice_private_rng);
   }
 
-  // Bob's priors, identical to LdpcFrameReceiver's construction: channel
-  // LLRs at payload positions, pinned shortened positions, erased
-  // (punctured) positions at zero.
+  // Bob's priors: LdpcFrameReceiver's float construction (channel LLRs at
+  // payload positions, pinned shortened positions, erased punctured
+  // positions at zero) in the decoder's int8 format. Only four quantized
+  // values occur, so quantize those once; the frame's adaptation is
+  // Alice's, derived from the same seed.
   const float channel = bsc_llr(qber);
-  std::vector<RateAdaptation> adaptations(frames);
-  std::vector<std::vector<float>> llrs(frames);
+  const std::int8_t bit0 = quantize_llr(channel);
+  const std::int8_t bit1 = quantize_llr(-channel);
+  const std::int8_t known0 = quantize_llr(kKnownLlr);
+  const std::int8_t known1 = quantize_llr(-kKnownLlr);
+  std::vector<std::vector<std::int8_t>> priors(frames);
   for (std::size_t f = 0; f < frames; ++f) {
     bob_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
-    adaptations[f] = derive_adaptation(code.n(), plan.n_punctured,
-                                       plan.n_shortened, frame_seeds[f]);
-    std::vector<float>& llr = llrs[f];
-    llr.assign(code.n(), 0.0f);
-    const auto& positions = adaptations[f].payload;
+    const RateAdaptation& adaptation = senders[f].adaptation();
+    std::vector<std::int8_t>& prior = priors[f];
+    prior.assign(code.n(), 0);
+    const auto& positions = adaptation.payload;
     for (std::size_t i = 0; i < positions.size(); ++i) {
-      llr[positions[i]] = payload.get(i) ? -channel : channel;
+      prior[positions[i]] = payload.get(i) ? bit1 : bit0;
     }
-    for (const auto s : adaptations[f].shortened) llr[s] = kKnownLlr;
+    for (const auto s : adaptation.shortened) prior[s] = known0;
   }
 
   struct FrameAccount {
@@ -207,7 +208,7 @@ BatchReconcileStats ldpc_reconcile_key_batch(
       jobs.clear();
       for (std::size_t i = 0; i < count; ++i) {
         const std::uint32_t f = pending[off + i];
-        jobs.push_back(QuantDecodeJob{&senders[f].syndrome(), &llrs[f]});
+        jobs.push_back(QuantDecodeJob{&senders[f].syndrome(), &priors[f]});
       }
       decode_syndrome_batch(code, jobs, decoder, results);
       for (std::size_t i = 0; i < count; ++i) {
@@ -217,7 +218,8 @@ BatchReconcileStats ldpc_reconcile_key_batch(
         if (results[i].converged) {
           acct.converged = true;
           acct.early_exit = results[i].iterations < decoder.max_iterations;
-          acct.corrected = results[i].word.gather(adaptations[f].payload);
+          acct.corrected =
+              results[i].word.select(senders[f].adaptation().payload_mask);
         }
       }
     }
@@ -230,8 +232,7 @@ BatchReconcileStats ldpc_reconcile_key_batch(
           senders[f].reveal_chunk(acct.blind, config.max_blind_rounds);
       if (reveal.positions.empty()) continue;  // nothing left to disclose
       for (std::size_t i = 0; i < reveal.positions.size(); ++i) {
-        llrs[f][reveal.positions[i]] =
-            reveal.values.get(i) ? -kKnownLlr : kKnownLlr;
+        priors[f][reveal.positions[i]] = reveal.values.get(i) ? known1 : known0;
       }
       acct.leaked += reveal.positions.size();
       acct.rounds += 1;

@@ -61,6 +61,8 @@ class LdpcFrameSender {
 
   const BitVec& syndrome() const noexcept { return syndrome_; }
   const FramePlan& plan() const noexcept { return plan_; }
+  /// The frame's position classes (derived once, from frame_seed).
+  const RateAdaptation& adaptation() const noexcept { return adaptation_; }
 
   /// Serve blind round `round` (1-based): the values of the next chunk of
   /// punctured positions. Empty when everything is already revealed.

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
+#include <unordered_set>
+#include <utility>
 
 namespace qkdpp {
 namespace {
@@ -137,6 +140,54 @@ TEST(Rng, SampleWithoutReplacementDistinctSorted) {
     EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
     EXPECT_TRUE(std::adjacent_find(s.begin(), s.end()) == s.end());
     for (const auto x : s) EXPECT_LT(x, 1000u);
+  }
+}
+
+// Sort-based reference: the same draws (rejection against a hash set for
+// k * 20 < n, partial Fisher-Yates otherwise), then std::sort.
+std::vector<std::uint32_t> sample_reference(Xoshiro256& rng, std::size_t n,
+                                            std::size_t k) {
+  std::vector<std::uint32_t> out;
+  if (k == 0) return out;
+  if (k * 20 < n) {
+    std::unordered_set<std::uint32_t> seen;
+    while (out.size() < k) {
+      const auto candidate = static_cast<std::uint32_t>(rng.uniform(n));
+      if (seen.insert(candidate).second) out.push_back(candidate);
+    }
+  } else {
+    std::vector<std::uint32_t> pool(n);
+    std::iota(pool.begin(), pool.end(), 0u);
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t j = i + static_cast<std::size_t>(rng.uniform(n - i));
+      std::swap(pool[i], pool[j]);
+      out.push_back(pool[i]);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Same seed, same output, and the generator left in the same state (the
+// next draw agrees), on both branches and at k = 0 and k = n.
+TEST(Rng, SampleWithoutReplacementMatchesSortedReference) {
+  struct Case {
+    std::size_t n;
+    std::size_t k;
+  };
+  const Case cases[] = {{0, 0},       {1, 0},       {1, 1},     {64, 64},
+                        {1000, 0},    {1000, 1},    {1000, 49}, {1000, 50},
+                        {1000, 999},  {1000, 1000}, {65, 3},    {70'000, 2'000},
+                        {70'000, 3'500}, {35'000, 3'500}};
+  std::uint64_t seed = 100;
+  for (const Case& c : cases) {
+    Xoshiro256 rng(seed);
+    Xoshiro256 ref_rng(seed);
+    ++seed;
+    EXPECT_EQ(rng.sample_without_replacement(c.n, c.k),
+              sample_reference(ref_rng, c.n, c.k))
+        << c.n << " choose " << c.k;
+    EXPECT_EQ(rng.next_u64(), ref_rng.next_u64()) << c.n << " choose " << c.k;
   }
 }
 

@@ -1,10 +1,12 @@
 // Word-parallel engine primitives vs bit-at-a-time references:
 // split_sifted's ctz walk and remaining_key's mask-and-compress must agree
-// with the scalar definitions at word-boundary sizes.
+// with the scalar definitions at word-boundary sizes, and
+// choose_pe_positions' merge with copy plus sort.
 #include "engine/primitives.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -97,6 +99,42 @@ TEST(Primitives, RemainingKeyRevealAllAndNone) {
   for (std::size_t i = 0; i < n; ++i) all[i] = static_cast<std::uint32_t>(i);
   EXPECT_TRUE(remaining_key(sifted, mask, all).empty());
   EXPECT_EQ(remaining_key(sifted, mask, {}).size(), mask.popcount());
+}
+
+// Copy-plus-sort reference for choose_pe_positions, on the same draw.
+std::vector<std::uint32_t> choose_pe_positions_reference(
+    const SignalSplit& split, double fraction, Xoshiro256& rng) {
+  const auto sample_size = static_cast<std::size_t>(
+      fraction * static_cast<double>(split.signal_positions.size()));
+  std::vector<std::uint32_t> positions = split.revealed_positions;
+  for (const auto s : rng.sample_without_replacement(
+           split.signal_positions.size(), sample_size)) {
+    positions.push_back(split.signal_positions[s]);
+  }
+  std::sort(positions.begin(), positions.end());
+  return positions;
+}
+
+TEST(Primitives, ChoosePePositionsMatchesCopyPlusSort) {
+  Xoshiro256 gen(5);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 5000u, 40000u}) {
+    for (const double signal_share : {0.0, 0.3, 0.7, 1.0}) {
+      BitVec mask(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        mask.set(i, gen.bernoulli(signal_share));
+      }
+      const SignalSplit split = split_sifted(gen.random_bits(n), mask);
+      for (const double fraction : {0.0, 0.01, 0.1, 0.5, 1.0}) {
+        Xoshiro256 rng(n * 31 + static_cast<std::uint64_t>(fraction * 100));
+        Xoshiro256 ref_rng(n * 31 + static_cast<std::uint64_t>(fraction * 100));
+        EXPECT_EQ(choose_pe_positions(split, fraction, rng),
+                  choose_pe_positions_reference(split, fraction, ref_rng))
+            << n << " bits, signal share " << signal_share << ", fraction "
+            << fraction;
+        EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+      }
+    }
+  }
 }
 
 }  // namespace

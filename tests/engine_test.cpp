@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <type_traits>
 
 #include "common/error.hpp"
 #include "engine/sim_adapter.hpp"
 #include "pipeline/offline.hpp"
 #include "pipeline/session.hpp"
+#include "protocol/channel.hpp"
 #include "sim/bb84.hpp"
 
 namespace qkdpp::engine {
@@ -57,6 +59,83 @@ TEST(PostprocessEngine, GoldenKeyBitExactAcrossAllDevicePlacements) {
     EXPECT_EQ(outcome.leak_ec_bits, golden.leak_ec_bits);
     EXPECT_EQ(outcome.reconciled_bits, golden.reconciled_bits);
   }
+}
+
+// Cross-commit golden pin. The placement test above compares keys within
+// one run; this one pins fixed-seed final keys, leakage and decoder work
+// to constants recorded from an earlier tree, so any change to the host
+// path (sifting, PE sampling, frame set-up, priors) or the decoder that
+// moves a single key bit fails tier-1.
+std::uint64_t fold_key(std::uint64_t digest, const BitVec& key) {
+  constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+  digest = (digest ^ key.size()) * kFnvPrime;
+  for (const std::uint64_t w : key.words()) digest = (digest ^ w) * kFnvPrime;
+  return digest;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::size_t kGoldenPulses = 1'750'000;
+
+sim::DetectionRecord simulate(double km, std::uint64_t seed,
+                              std::size_t pulses) {
+  sim::LinkConfig link;
+  link.channel.length_km = km;
+  Xoshiro256 rng(seed);
+  return sim::Bb84Simulator(link).run(pulses, rng);
+}
+
+TEST(PostprocessEngine, GoldenKeysPinnedAcrossCommits) {
+  std::uint64_t digest = kFnvOffset;
+  std::uint64_t leak = 0;
+  std::uint64_t iterations = 0;
+  std::uint64_t key_bits = 0;
+  PostprocessEngine engine(metro_params(), EngineOptions::cpu_only());
+  const double distances_km[] = {5.0, 10.0, 25.0, 50.0};
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    const BlockInput input = make_block_input(
+        simulate(distances_km[b], 2024 + b, kGoldenPulses), b + 1);
+    Xoshiro256 rng(31 + b);
+    const BlockOutcome outcome = engine.process_block(input, b + 1, rng);
+    ASSERT_TRUE(outcome.success)
+        << distances_km[b] << " km: " << outcome.abort_reason;
+    digest = fold_key(digest, outcome.final_key);
+    leak += outcome.leak_ec_bits;
+    iterations += outcome.decoder_iterations;
+    key_bits += outcome.final_key_bits;
+  }
+  EXPECT_EQ(digest, 0xd442ebdfa4aff680ULL);
+  EXPECT_EQ(leak, 19224u);
+  EXPECT_EQ(iterations, 239u);
+  EXPECT_EQ(key_bits, 36401u);
+}
+
+TEST(PostprocessEngine, GoldenSessionKeyPinnedAcrossCommits) {
+  const sim::DetectionRecord record = simulate(25.0, 2030, kGoldenPulses);
+  const protocol::AliceTransmitLog log{record.alice_bits, record.alice_bases,
+                                       record.alice_class};
+  pipeline::BobDetections bob_input;
+  bob_input.block_id = 1;
+  bob_input.n_pulses = record.n_pulses;
+  bob_input.detected_idx = record.detected_idx;
+  bob_input.bits = record.bob_bits;
+  bob_input.bases = record.bob_bases;
+  const pipeline::SessionConfig config = metro_params();
+
+  auto [alice_channel, bob_channel] = protocol::make_channel_pair();
+  auto alice_future = std::async(std::launch::async, [&] {
+    Xoshiro256 rng(41);
+    return pipeline::run_alice_session(*alice_channel, log, 1, config, rng);
+  });
+  const pipeline::SessionResult bob =
+      pipeline::run_bob_session(*bob_channel, bob_input, config);
+  const pipeline::SessionResult alice = alice_future.get();
+  ASSERT_TRUE(alice.success) << alice.abort_reason;
+  ASSERT_TRUE(bob.success) << bob.abort_reason;
+  ASSERT_EQ(alice.final_key, bob.final_key);
+  EXPECT_EQ(fold_key(kFnvOffset, alice.final_key), 0x9aec1d6c92b690d6ULL);
+  EXPECT_EQ(alice.leak_ec_bits, 2779u);
+  EXPECT_EQ(alice.reconciled_bits, 14742u);
+  EXPECT_EQ(alice.final_key.size(), 5099u);
 }
 
 TEST(PostprocessEngine, OptimizedPlacementSameKeyAsPinned) {

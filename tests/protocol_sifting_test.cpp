@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sim/bb84.hpp"
@@ -64,6 +66,110 @@ TEST(Sifting, HandBuiltExample) {
   EXPECT_EQ(bob_sifted.get(1), false);
 }
 
+// Scalar reference sift: one append per kept detection.
+AliceSiftOutcome reference_sift(const AliceTransmitLog& log,
+                                const DetectionReport& report) {
+  AliceSiftOutcome out;
+  out.result.block_id = report.block_id;
+  out.result.keep_mask = BitVec(report.detected_idx.size());
+  for (std::size_t d = 0; d < report.detected_idx.size(); ++d) {
+    const std::uint32_t pulse = report.detected_idx[d];
+    if (log.bases.get(pulse) == report.bob_bases.get(d)) {
+      out.result.keep_mask.set(d, true);
+      out.sifted_key.push_back(log.bits.get(pulse));
+      out.result.signal_mask.push_back(log.pulse_class[pulse] == 0);
+    }
+  }
+  return out;
+}
+
+enum class BasisMix { kRandom, kAllMatch, kNoneMatch };
+enum class ClassMix { kRandom, kAllSignal, kNoSignal };
+
+std::pair<AliceTransmitLog, DetectionReport> random_exchange(
+    std::size_t detections, BasisMix bases, ClassMix classes,
+    std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  DetectionReport report;
+  report.block_id = seed;
+  std::uint32_t pulse = static_cast<std::uint32_t>(rng.uniform(3));
+  for (std::size_t d = 0; d < detections; ++d) {
+    report.detected_idx.push_back(pulse);
+    pulse += 1 + static_cast<std::uint32_t>(rng.uniform(5));
+  }
+  const std::size_t n_pulses = pulse + rng.uniform(4);
+  report.n_pulses = n_pulses;
+
+  AliceTransmitLog log;
+  log.bits = rng.random_bits(n_pulses);
+  log.bases = rng.random_bits(n_pulses);
+  log.pulse_class.resize(n_pulses);
+  for (auto& c : log.pulse_class) {
+    c = classes == ClassMix::kAllSignal
+            ? 0
+            : static_cast<std::uint8_t>(
+                  classes == ClassMix::kNoSignal ? 1 + rng.uniform(2)
+                                                 : rng.uniform(3));
+  }
+  report.bob_bases = rng.random_bits(detections);
+  for (std::size_t d = 0; d < detections && bases != BasisMix::kRandom; ++d) {
+    const bool alice = log.bases.get(report.detected_idx[d]);
+    report.bob_bases.set(d, bases == BasisMix::kAllMatch ? alice : !alice);
+  }
+  return {std::move(log), std::move(report)};
+}
+
+// The word-at-a-time sift must reproduce the scalar reference exactly,
+// including the zero tail of every output word, at word-boundary counts
+// (63/64/65, 130), an empty report and a metro-sized one, with the basis
+// match and the signal class forced both ways.
+TEST(Sifting, WordPassMatchesScalarReference) {
+  const std::size_t counts[] = {0, 1, 63, 64, 65, 130, 75'000};
+  const BasisMix basis_mixes[] = {BasisMix::kRandom, BasisMix::kAllMatch,
+                                  BasisMix::kNoneMatch};
+  const ClassMix class_mixes[] = {ClassMix::kRandom, ClassMix::kAllSignal,
+                                  ClassMix::kNoSignal};
+  std::uint64_t seed = 1;
+  for (const std::size_t count : counts) {
+    for (const BasisMix bases : basis_mixes) {
+      for (const ClassMix classes : class_mixes) {
+        const auto [log, report] =
+            random_exchange(count, bases, classes, seed++);
+        const AliceSiftOutcome got = sift_alice(log, report);
+        const AliceSiftOutcome want = reference_sift(log, report);
+        const std::string where = "detections " + std::to_string(count) +
+                                  " seed " + std::to_string(seed - 1);
+        EXPECT_EQ(got.result.block_id, want.result.block_id) << where;
+        EXPECT_EQ(got.result.keep_mask, want.result.keep_mask) << where;
+        EXPECT_EQ(got.sifted_key, want.sifted_key) << where;
+        EXPECT_EQ(got.result.signal_mask, want.result.signal_mask) << where;
+        if (bases == BasisMix::kAllMatch) {
+          EXPECT_EQ(got.sifted_key.size(), count) << where;
+        }
+        if (bases == BasisMix::kNoneMatch) {
+          EXPECT_TRUE(got.sifted_key.empty()) << where;
+        }
+        // Bob selects through the same keep mask.
+        const BitVec bob_bits = Xoshiro256(seed).random_bits(count);
+        EXPECT_EQ(sift_bob(bob_bits, got.result),
+                  bob_bits.select(want.result.keep_mask))
+            << where;
+      }
+    }
+  }
+}
+
+/// The message of the Error sift_alice throws ("" when it does not throw).
+std::string sift_error(const AliceTransmitLog& log,
+                       const DetectionReport& report) {
+  try {
+    (void)sift_alice(log, report);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Sifting, EndToEndAgainstSimulator) {
   Xoshiro256 rng(21);
   sim::LinkConfig link;
@@ -93,6 +199,13 @@ TEST(Sifting, RejectsOutOfRangeIndex) {
   report.detected_idx = {5};
   report.bob_bases = BitVec(1);
   EXPECT_THROW(sift_alice(log, report), Error);
+  EXPECT_NE(sift_error(log, report).find("detection index out of range"),
+            std::string::npos);
+  // Also after valid detections.
+  report.detected_idx = {0, 1, 2, 4};
+  report.bob_bases = BitVec(4);
+  EXPECT_NE(sift_error(log, report).find("detection index out of range"),
+            std::string::npos);
 }
 
 TEST(Sifting, RejectsNonMonotoneIndices) {
@@ -105,6 +218,14 @@ TEST(Sifting, RejectsNonMonotoneIndices) {
   report.detected_idx = {3, 2};
   report.bob_bases = BitVec(2);
   EXPECT_THROW(sift_alice(log, report), Error);
+  EXPECT_NE(sift_error(log, report).find("detection indices not increasing"),
+            std::string::npos);
+  // A repeated index is not increasing either, and the first bad detection
+  // names the error even when a later one is out of range.
+  report.detected_idx = {1, 1, 20};
+  report.bob_bases = BitVec(3);
+  EXPECT_NE(sift_error(log, report).find("detection indices not increasing"),
+            std::string::npos);
 }
 
 TEST(Sifting, RejectsShapeMismatch) {

@@ -1,6 +1,7 @@
 // Batched quantized reconciliation: the decode-equivalence property (a
 // frame decodes bit-identically alone or inside any batch, and under the
-// AVX2 or the portable kernel), batch key reconciliation vs the sequential
+// AVX2 or the portable kernel), the bitmap-built rate adaptation against
+// the sort-based reference, batch key reconciliation vs the sequential
 // single-frame reference (corrected payloads AND leak accounting), the
 // blind-vs-fixed-rate disclosure ordering on a quiet channel, and the
 // batched planner's shape.
@@ -28,11 +29,22 @@ BitVec corrupt(const BitVec& key, double q, Xoshiro256& rng) {
   return noisy;
 }
 
+/// The decoder's int8 priors for float LLRs (the batch reconciler builds
+/// them the same way: quantize_llr per value).
+std::vector<std::int8_t> quantize_all(const std::vector<float>& llr) {
+  std::vector<std::int8_t> prior(llr.size());
+  std::transform(llr.begin(), llr.end(), prior.begin(), quantize_llr);
+  return prior;
+}
+
 // --- kernel-level equivalence -------------------------------------------
 
 // Decoding a frame inside a batch must be bit-identical to decoding it as
 // a one-job batch: every lane's arithmetic is independent, so batching is
-// purely a layout transform. 11 jobs force a partial lane word.
+// purely a layout transform. 11 jobs force a partial lane word. The batch
+// takes int8 priors; the single-frame facade quantizes the float LLRs
+// itself, so this also pins that both routes feed the kernel the same
+// integers.
 TEST(BatchDecoder, BatchEqualsSingleFrameBitExact) {
   const LdpcCode code = LdpcCode::peg(1024, 512, DegreeProfile::regular(3), 1);
   constexpr std::size_t kJobs = 11;
@@ -63,10 +75,12 @@ TEST(BatchDecoder, BatchEqualsSingleFrameBitExact) {
 
   DecoderConfig config;
   config.max_iterations = 30;
+  std::vector<std::vector<std::int8_t>> priors;
+  for (const auto& llr : llrs) priors.push_back(quantize_all(llr));
   std::vector<QuantDecodeJob> jobs(kJobs);
   for (std::size_t j = 0; j < kJobs; ++j) {
     jobs[j].syndrome = &syndromes[j];
-    jobs[j].llr = &llrs[j];
+    jobs[j].prior = &priors[j];
   }
   std::vector<DecodeResult> batch;
   decode_syndrome_batch(code, jobs, config, batch);
@@ -130,9 +144,11 @@ TEST_P(MinSumKernelEquivalence, Avx2MatchesPortableBitExact) {
     }
     llrs.push_back(std::move(llr));
   }
+  std::vector<std::vector<std::int8_t>> priors;
+  for (const auto& llr : llrs) priors.push_back(quantize_all(llr));
   std::vector<QuantDecodeJob> all(kMaxBatchFrames);
   for (std::size_t j = 0; j < kMaxBatchFrames; ++j) {
-    all[j] = {&syndromes[j], &llrs[j]};
+    all[j] = {&syndromes[j], &priors[j]};
   }
 
   DecoderConfig config;
@@ -178,6 +194,71 @@ TEST_P(MinSumKernelEquivalence, Avx2MatchesPortableBitExact) {
 INSTANTIATE_TEST_SUITE_P(Codes, MinSumKernelEquivalence,
                          ::testing::Values(std::uint32_t{7},
                                            std::uint32_t{13}));
+
+// --- rate adaptation: bitmap classes vs the sort-based construction -----
+
+// Sort-based reference construction: sort the permutation's
+// first d and next s entries, then collect the unmarked rest through a
+// byte vector.
+RateAdaptation sorted_adaptation(std::size_t n, std::uint32_t d,
+                                 std::uint32_t s, std::uint64_t seed) {
+  Xoshiro256 rng(seed ^ 0xada97ca7104eULL);
+  const auto perm = rng.permutation(n);
+  RateAdaptation adaptation;
+  adaptation.punctured.assign(perm.begin(), perm.begin() + d);
+  adaptation.shortened.assign(perm.begin() + d, perm.begin() + d + s);
+  std::sort(adaptation.punctured.begin(), adaptation.punctured.end());
+  std::sort(adaptation.shortened.begin(), adaptation.shortened.end());
+  std::vector<std::uint8_t> special(n, 0);
+  for (const auto p : adaptation.punctured) special[p] = 1;
+  for (const auto x : adaptation.shortened) special[x] = 1;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (!special[v]) adaptation.payload.push_back(v);
+  }
+  return adaptation;
+}
+
+TEST(RateAdapt, DeriveAdaptationMatchesSortedConstruction) {
+  struct Shape {
+    std::size_t n;
+    std::uint32_t d;
+    std::uint32_t s;
+  };
+  // Word-aligned and ragged n, empty classes, and classes covering the
+  // whole frame.
+  const Shape shapes[] = {{4096, 300, 109}, {1000, 100, 50}, {1, 0, 0},
+                          {63, 0, 63},      {65, 65, 0},     {130, 7, 0},
+                          {16380, 0, 1638}, {200, 120, 80}};
+  for (const Shape& shape : shapes) {
+    for (const std::uint64_t seed : {1ULL, 42ULL, 0xfeedULL}) {
+      const RateAdaptation got =
+          derive_adaptation(shape.n, shape.d, shape.s, seed);
+      const RateAdaptation want =
+          sorted_adaptation(shape.n, shape.d, shape.s, seed);
+      EXPECT_EQ(got.punctured, want.punctured) << shape.n << "/" << seed;
+      EXPECT_EQ(got.shortened, want.shortened) << shape.n << "/" << seed;
+      EXPECT_EQ(got.payload, want.payload) << shape.n << "/" << seed;
+      BitVec mask(shape.n);
+      for (const auto v : want.payload) mask.set(v, true);
+      EXPECT_EQ(got.payload_mask, mask) << shape.n << "/" << seed;
+    }
+  }
+}
+
+TEST(RateAdapt, SenderExposesTheDerivedAdaptation) {
+  LdpcReconcilerConfig config;
+  const FramePlan plan = plan_frame_batched(4 * 4096, 0.02, config.f_target,
+                                            config.adapt_fraction, 4);
+  Xoshiro256 rng(5);
+  const BitVec payload = rng.random_bits(plan.payload_bits);
+  const LdpcFrameSender sender(plan, payload, 0xabc, rng);
+  const RateAdaptation want =
+      sorted_adaptation(code_by_id(plan.code_id).n(), plan.n_punctured,
+                        plan.n_shortened, 0xabc);
+  EXPECT_EQ(sender.adaptation().punctured, want.punctured);
+  EXPECT_EQ(sender.adaptation().shortened, want.shortened);
+  EXPECT_EQ(sender.adaptation().payload, want.payload);
+}
 
 // --- key-level equivalence over a (seed, QBER) grid ---------------------
 
