@@ -24,7 +24,7 @@ Response from_result(Result<T> result) {
   Response response;
   if (result.ok()) {
     response.status = kStatusOk;
-    response.body = result->to_json();
+    response.body = std::move(*result.value).to_json();
   } else {
     response.status = result.error.status;
     response.body = result.error.to_json();
@@ -113,6 +113,9 @@ Response Dispatcher::route(const Request& request) {
 }
 
 std::string Dispatcher::dispatch(std::string_view request_json) {
+  // Both envelopes are temporaries, so their rvalue overloads move the body
+  // from the parsed document into the request and from the response into
+  // the serialized document, instead of deep-copying either.
   Request request;
   try {
     request = Request::from_json(Json::parse(request_json));

@@ -1,5 +1,7 @@
 #include "api/dtos.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace qkdpp::api {
@@ -18,21 +20,62 @@ std::uint64_t uint_or(const Json& json, std::string_view key,
   return field ? field->as_uint() : fallback;
 }
 
+// to_json() bodies shared by the const& and && overloads: a forwarded
+// envelope or container moves its strings and body into the document
+// instead of copying them. Fields are set in key order, so every set()
+// appends.
+
+template <typename Key>
+Json delivered_key_json(Key&& key) {
+  Json json = Json::object();
+  json.reserve(2);
+  json.set("key", std::forward<Key>(key).key);
+  json.set("key_ID", std::forward<Key>(key).key_id);
+  return json;
+}
+
+Json key_container_json(Json keys) {
+  Json json = Json::object();
+  json.set("keys", std::move(keys));
+  return json;
+}
+
+template <typename Envelope>
+Json request_json(Envelope&& request) {
+  Json json = Json::object();
+  json.reserve(4);
+  json.set("body", std::forward<Envelope>(request).body);
+  json.set("caller", std::forward<Envelope>(request).caller);
+  json.set("method", std::forward<Envelope>(request).method);
+  json.set("target", std::forward<Envelope>(request).target);
+  return json;
+}
+
+template <typename Envelope>
+Json response_json(Envelope&& response) {
+  Json json = Json::object();
+  json.reserve(2);
+  json.set("body", std::forward<Envelope>(response).body);
+  json.set("status", std::int64_t{response.status});
+  return json;
+}
+
 }  // namespace
 
 Json StatusResponse::to_json() const {
   Json json = Json::object();
-  json.set("source_KME_ID", source_kme_id);
-  json.set("target_KME_ID", target_kme_id);
-  json.set("master_SAE_ID", master_sae_id);
-  json.set("slave_SAE_ID", slave_sae_id);
+  json.reserve(11);
   json.set("key_size", key_size);
-  json.set("stored_key_count", stored_key_count);
+  json.set("master_SAE_ID", master_sae_id);
   json.set("max_key_count", max_key_count);
   json.set("max_key_per_request", max_key_per_request);
   json.set("max_key_size", max_key_size);
   json.set("min_key_size", min_key_size);
   json.set("pending_key_count", pending_key_count);
+  json.set("slave_SAE_ID", slave_sae_id);
+  json.set("source_KME_ID", source_kme_id);
+  json.set("stored_key_count", stored_key_count);
+  json.set("target_KME_ID", target_kme_id);
   return json;
 }
 
@@ -54,6 +97,7 @@ StatusResponse StatusResponse::from_json(const Json& json) {
 
 Json KeyRequest::to_json() const {
   Json json = Json::object();
+  json.reserve(2);
   json.set("number", number);
   json.set("size", size);
   return json;
@@ -69,6 +113,7 @@ KeyRequest KeyRequest::from_json(const Json& json) {
 
 Json KeyIdsRequest::to_json() const {
   Json ids = Json::array();
+  ids.reserve(key_ids.size());
   for (const auto& id : key_ids) {
     Json entry = Json::object();
     entry.set("key_ID", id);
@@ -87,12 +132,7 @@ KeyIdsRequest KeyIdsRequest::from_json(const Json& json) {
   return request;
 }
 
-Json DeliveredKey::to_json() const {
-  Json json = Json::object();
-  json.set("key_ID", key_id);
-  json.set("key", key);
-  return json;
-}
+Json DeliveredKey::to_json() const { return delivered_key_json(*this); }
 
 DeliveredKey DeliveredKey::from_json(const Json& json) {
   DeliveredKey delivered;
@@ -101,12 +141,18 @@ DeliveredKey DeliveredKey::from_json(const Json& json) {
   return delivered;
 }
 
-Json KeyContainer::to_json() const {
-  Json keys_json = Json::array();
-  for (const auto& key : keys) keys_json.push_back(key.to_json());
-  Json json = Json::object();
-  json.set("keys", std::move(keys_json));
-  return json;
+Json KeyContainer::to_json() const& {
+  Json json = Json::array();
+  json.reserve(keys.size());
+  for (const auto& key : keys) json.push_back(delivered_key_json(key));
+  return key_container_json(std::move(json));
+}
+
+Json KeyContainer::to_json() && {
+  Json json = Json::array();
+  json.reserve(keys.size());
+  for (auto& key : keys) json.push_back(delivered_key_json(std::move(key)));
+  return key_container_json(std::move(json));
 }
 
 KeyContainer KeyContainer::from_json(const Json& json) {
@@ -119,13 +165,15 @@ KeyContainer KeyContainer::from_json(const Json& json) {
 
 Json ApiError::to_json() const {
   Json json = Json::object();
-  json.set("status", std::int64_t{status});
-  json.set("message", message);
+  json.reserve(3);
   if (!details.empty()) {
     Json details_json = Json::array();
+    details_json.reserve(details.size());
     for (const auto& detail : details) details_json.push_back(detail);
     json.set("details", std::move(details_json));
   }
+  json.set("message", message);
+  json.set("status", std::int64_t{status});
   return json;
 }
 
@@ -141,14 +189,9 @@ ApiError ApiError::from_json(const Json& json) {
   return error;
 }
 
-Json Request::to_json() const {
-  Json json = Json::object();
-  json.set("method", method);
-  json.set("target", target);
-  json.set("caller", caller);
-  json.set("body", body);
-  return json;
-}
+Json Request::to_json() const& { return request_json(*this); }
+
+Json Request::to_json() && { return request_json(std::move(*this)); }
 
 Request Request::from_json(const Json& json) {
   Request request;
@@ -159,17 +202,30 @@ Request Request::from_json(const Json& json) {
   return request;
 }
 
-Json Response::to_json() const {
-  Json json = Json::object();
-  json.set("status", std::int64_t{status});
-  json.set("body", body);
-  return json;
+Request Request::from_json(Json&& json) {
+  Request request;
+  request.method = std::move(json.at("method").as_string());
+  request.target = std::move(json.at("target").as_string());
+  request.caller = std::move(json.at("caller").as_string());
+  if (Json* body = json.find("body")) request.body = std::move(*body);
+  return request;
 }
+
+Json Response::to_json() const& { return response_json(*this); }
+
+Json Response::to_json() && { return response_json(std::move(*this)); }
 
 Response Response::from_json(const Json& json) {
   Response response;
   response.status = static_cast<int>(json.at("status").as_int());
   if (const Json* body = json.find("body")) response.body = *body;
+  return response;
+}
+
+Response Response::from_json(Json&& json) {
+  Response response;
+  response.status = static_cast<int>(json.at("status").as_int());
+  if (Json* body = json.find("body")) response.body = std::move(*body);
   return response;
 }
 

@@ -85,7 +85,9 @@ struct DeliveredKey {
 struct KeyContainer {
   std::vector<DeliveredKey> keys;
 
-  Json to_json() const;
+  Json to_json() const&;
+  /// Moves the key ids and material into the document.
+  Json to_json() &&;
   static KeyContainer from_json(const Json& json);
   friend bool operator==(const KeyContainer&, const KeyContainer&) = default;
 };
@@ -121,8 +123,13 @@ struct Request {
   std::string caller;  ///< authenticated SAE id of the requester
   Json body;           ///< null for GET
 
-  Json to_json() const;
+  Json to_json() const&;
+  /// Moves the strings and the body into the document instead of copying.
+  Json to_json() &&;
   static Request from_json(const Json& json);
+  /// Moves the strings and the body out of a document the caller is done
+  /// with (the dispatcher's freshly parsed request).
+  static Request from_json(Json&& json);
   friend bool operator==(const Request&, const Request&) = default;
 };
 
@@ -133,8 +140,12 @@ struct Response {
 
   bool ok() const noexcept { return status == kStatusOk; }
 
-  Json to_json() const;
+  Json to_json() const&;
+  /// Moves the body into the document instead of copying it.
+  Json to_json() &&;
   static Response from_json(const Json& json);
+  /// Moves the body out of a document the caller is done with.
+  static Response from_json(Json&& json);
   friend bool operator==(const Response&, const Response&) = default;
 };
 

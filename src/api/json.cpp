@@ -1,10 +1,10 @@
 #include "api/json.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,6 +15,36 @@ namespace {
 
 [[noreturn]] void malformed(const std::string& what) {
   throw_error(ErrorCode::kSerialization, "json: " + what);
+}
+
+/// A string byte that stands for itself in JSON text: not the closing
+/// quote, not an escape, not a control character.
+bool is_plain_string_byte(char c) {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Keys strictly ascending: sorted, no repeats.
+bool is_canonical(const Json::Object& object) {
+  return std::adjacent_find(object.begin(), object.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first >= b.first;
+                            }) == object.end();
+}
+
+/// First field whose key is not less than `key`.
+template <typename Fields>
+auto lower_bound_key(Fields& object, std::string_view key) {
+  return std::lower_bound(
+      object.begin(), object.end(), key,
+      [](const auto& field, std::string_view k) { return field.first < k; });
+}
+
+template <typename Fields>
+auto* find_field(Fields& object, std::string_view key) {
+  const auto it = lower_bound_key(object, key);
+  return it != object.end() && it->first == key ? &it->second : nullptr;
 }
 
 /// Recursive-descent parser over a string_view cursor. Strict JSON
@@ -33,6 +63,7 @@ class Parser {
 
  private:
   static constexpr int kMaxDepth = 64;
+  static constexpr std::size_t kObjectReserve = 4;
 
   /// Shadows the file-scope malformed(): every parse error names the byte
   /// offset the cursor died at, so a client staring at a 400 can find the
@@ -96,13 +127,17 @@ class Parser {
       ++pos_;
       return Json(std::move(object));
     }
+    // Every API object has at most four fields but the status body: one
+    // allocation instead of growing 1 -> 2 -> 4.
+    object.reserve(kObjectReserve);
     while (true) {
       skip_ws();
       if (peek() != '"') malformed("object key must be a string");
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      object.insert_or_assign(std::move(key), parse_value(depth + 1));
+      Json value = parse_value(depth + 1);
+      object.emplace_back(std::move(key), std::move(value));
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -170,16 +205,16 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // One append per run of bytes that need no decoding.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && is_plain_string_byte(text_[pos_])) {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) malformed("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        malformed("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') malformed("unescaped control character in string");
       if (pos_ >= text_.size()) malformed("truncated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -217,10 +252,7 @@ class Parser {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     const std::size_t digits_start = pos_;
-    while (pos_ < text_.size() && std::isdigit(
-               static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
     if (pos_ == digits_start) malformed("bad number");
     // Leading zeros are invalid JSON ("01"), a single "0" is fine.
     if (pos_ - digits_start > 1 && text_[digits_start] == '0') {
@@ -231,10 +263,7 @@ class Parser {
       is_double = true;
       ++pos_;
       const std::size_t frac_start = pos_;
-      while (pos_ < text_.size() && std::isdigit(
-                 static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
       if (pos_ == frac_start) malformed("bad fraction");
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
@@ -244,10 +273,7 @@ class Parser {
         ++pos_;
       }
       const std::size_t exp_start = pos_;
-      while (pos_ < text_.size() && std::isdigit(
-                 static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
       if (pos_ == exp_start) malformed("bad exponent");
     }
     const std::string_view token = text_.substr(start, pos_ - start);
@@ -273,9 +299,15 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void dump_string(const std::string& s, std::string& out) {
+void dump_string(std::string_view s, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (is_plain_string_byte(c)) continue;  // UTF-8 passes through verbatim
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -284,21 +316,37 @@ void dump_string(const std::string& s, std::string& out) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::array<char, 8> buf;
-          std::snprintf(buf.data(), buf.size(), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf.data();
-        } else {
-          out.push_back(c);  // UTF-8 bytes pass through verbatim
-        }
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        const char escape[] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                               kHex[byte & 0xF]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
 }
 
 }  // namespace
+
+Json::Json(Object o) {
+  if (!is_canonical(o)) {
+    // Stable, so repeated keys stay in arrival order; keep the last of each.
+    std::stable_sort(o.begin(), o.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    auto kept = o.begin();
+    for (auto it = o.begin(); it != o.end(); ++it) {
+      const auto next = std::next(it);
+      if (next != o.end() && next->first == it->first) continue;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+    o.erase(kept, o.end());
+  }
+  value_ = std::move(o);
+}
 
 Json Json::parse(std::string_view text) {
   return Parser(text).parse_document();
@@ -331,6 +379,10 @@ const std::string& Json::as_string() const {
   return std::get<std::string>(value_);
 }
 
+std::string& Json::as_string() {
+  return const_cast<std::string&>(std::as_const(*this).as_string());
+}
+
 const Json::Array& Json::as_array() const {
   if (!is_array()) malformed("expected array");
   return std::get<Array>(value_);
@@ -342,33 +394,50 @@ const Json::Object& Json::as_object() const {
 }
 
 const Json& Json::at(std::string_view key) const {
-  const auto& object = as_object();
-  const auto it = object.find(key);
-  if (it == object.end()) {
-    malformed("missing field '" + std::string(key) + "'");
-  }
-  return it->second;
+  const Json* field = find_field(as_object(), key);
+  if (!field) malformed("missing field '" + std::string(key) + "'");
+  return *field;
+}
+
+Json& Json::at(std::string_view key) {
+  return const_cast<Json&>(std::as_const(*this).at(key));
 }
 
 const Json* Json::find(std::string_view key) const {
-  if (!is_object()) return nullptr;
-  const auto& object = std::get<Object>(value_);
-  const auto it = object.find(key);
-  return it != object.end() ? &it->second : nullptr;
+  return is_object() ? find_field(std::get<Object>(value_), key) : nullptr;
+}
+
+Json* Json::find(std::string_view key) {
+  return const_cast<Json*>(std::as_const(*this).find(key));
 }
 
 Json& Json::set(std::string_view key, Json value) {
   if (is_null()) value_ = Object{};
   if (!is_object()) malformed("set() on non-object");
   auto& object = std::get<Object>(value_);
-  return object.insert_or_assign(std::string(key), std::move(value))
-      .first->second;
+  // Keys arriving in order (every to_json(), any dump() output) append.
+  if (object.empty() || object.back().first < key) {
+    return object.emplace_back(std::string(key), std::move(value)).second;
+  }
+  const auto it = lower_bound_key(object, key);
+  if (it->first == key) return it->second = std::move(value);
+  return object.emplace(it, std::string(key), std::move(value))->second;
 }
 
 void Json::push_back(Json value) {
   if (is_null()) value_ = Array{};
   if (!is_array()) malformed("push_back() on non-array");
   std::get<Array>(value_).push_back(std::move(value));
+}
+
+void Json::reserve(std::size_t count) {
+  if (is_array()) {
+    std::get<Array>(value_).reserve(count);
+  } else if (is_object()) {
+    std::get<Object>(value_).reserve(count);
+  } else {
+    malformed("reserve() on non-container");
+  }
 }
 
 std::size_t Json::size() const {
@@ -421,8 +490,28 @@ void Json::dump_to(std::string& out) const {
   }
 }
 
+std::size_t Json::dump_size_hint() const {
+  if (is_null()) return 4;
+  if (is_bool()) return 5;
+  if (is_int()) return 20;     // "-9223372036854775808"
+  if (is_double()) return 24;  // "-2.2250738585072014e-308"
+  if (is_string()) return std::get<std::string>(value_).size() + 2;
+  std::size_t size = 2;  // brackets; a separator per element below
+  if (is_array()) {
+    for (const Json& element : std::get<Array>(value_)) {
+      size += element.dump_size_hint() + 1;
+    }
+  } else {
+    for (const auto& [key, value] : std::get<Object>(value_)) {
+      size += key.size() + 4 + value.dump_size_hint();
+    }
+  }
+  return size;
+}
+
 std::string Json::dump() const {
   std::string out;
+  out.reserve(dump_size_hint());
   dump_to(out);
   return out;
 }

@@ -9,15 +9,30 @@
 // tests and logs). Integers are kept distinct from doubles: key/bit
 // counters are 64-bit and must not round-trip through a double mantissa.
 //
+// Built for the per-request delivery path, where every enc_keys/dec_keys
+// call parses one document and dumps another:
+//   * An object is one key-sorted vector of (key, value) fields - one
+//     allocation per object instead of one tree node per field. Lookups
+//     are a binary search; set() appends in O(1) when keys arrive in
+//     order, which they do from dump() output and from every DTO
+//     to_json(). Duplicate keys keep the last value, as before.
+//   * The parser and the serializer move runs of unescaped string bytes
+//     with one append each, and dump() writes into one buffer reserved
+//     from a size walk of the value.
+//   * The DTO envelopes (api/dtos.hpp) have rvalue overloads -
+//     Request/Response::from_json(Json&&) and to_json() && - that move the
+//     body between the document and the envelope instead of deep-copying
+//     it; the dispatcher's serialized path uses them.
+//
 // Parsing failures throw qkdpp::Error{kSerialization} - the same taxonomy
 // the wire-protocol codecs use - and the dispatcher maps them to an
 // HTTP-like 400.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -26,11 +41,11 @@ namespace qkdpp::api {
 class Json {
  public:
   using Array = std::vector<Json>;
-  // Sorted keys: dump() output is deterministic regardless of insertion
-  // order, which the round-trip tests and bench JSON tails rely on. The
-  // transparent comparator lets at()/find() look up by string_view
+  // Fields sorted by key, keys unique: dump() output is deterministic
+  // regardless of insertion order, which the round-trip tests and bench
+  // JSON tails rely on, and at()/find() binary-search by string_view
   // without materializing a key string per field access.
-  using Object = std::map<std::string, Json, std::less<>>;
+  using Object = std::vector<std::pair<std::string, Json>>;
 
   Json() : value_(nullptr) {}
   Json(std::nullptr_t) : value_(nullptr) {}
@@ -43,7 +58,8 @@ class Json {
   Json(std::string_view s) : value_(std::string(s)) {}
   Json(const char* s) : value_(std::string(s)) {}
   Json(Array a) : value_(std::move(a)) {}
-  Json(Object o) : value_(std::move(o)) {}
+  /// Sorts the fields by key; of repeated keys the last one wins.
+  Json(Object o);
 
   static Json object() { return Json(Object{}); }
   static Json array() { return Json(Array{}); }
@@ -73,14 +89,23 @@ class Json {
   const Array& as_array() const;
   const Object& as_object() const;
 
+  /// Mutable string access, so a consumed document can move its strings
+  /// out instead of copying them.
+  std::string& as_string();
+
   /// Object field lookup; throws on non-objects or a missing key.
   const Json& at(std::string_view key) const;
+  Json& at(std::string_view key);
   /// Object field lookup returning nullptr when absent (optional fields).
   const Json* find(std::string_view key) const;
-  /// Object field assignment (creates the object value if null).
+  Json* find(std::string_view key);
+  /// Object field assignment (creates the object value if null). The
+  /// returned reference is invalidated by the next set() on this object.
   Json& set(std::string_view key, Json value);
   /// Array append (creates the array value if null).
   void push_back(Json value);
+  /// Room for `count` fields or elements of an object or array.
+  void reserve(std::size_t count);
 
   std::size_t size() const;
 
@@ -97,6 +122,9 @@ class Json {
     return std::holds_alternative<T>(value_);
   }
   void dump_to(std::string& out) const;
+  /// Bytes dump() reserves: exact for strings that need no escaping, the
+  /// widest form for numbers.
+  std::size_t dump_size_hint() const;
 
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string,
                Array, Object>

@@ -265,19 +265,15 @@ TEST(RateAdapt, SenderExposesTheDerivedAdaptation) {
 // ldpc_reconcile_key_batch must reproduce the sequential single-frame
 // protocol exactly: same corrected payloads, same leak, same rounds, for
 // every frame - including the shared private-RNG stream that fills the
-// punctured positions in frame order.
-class BatchKeyEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
-
-TEST_P(BatchKeyEquivalence, MatchesSequentialSingleFrameProtocol) {
-  const auto [seed, qber] = GetParam();
+// punctured positions in frame order. Returns the batched arm's per-frame
+// outcomes.
+std::vector<ReconcileOutcome> expect_batch_matches_sequential(
+    std::uint64_t seed, double qber, const LdpcReconcilerConfig& config) {
   Xoshiro256 rng(seed);
-
-  LdpcReconcilerConfig config;
   const FramePlan plan =
       plan_frame_batched(4 * 4096, qber, config.f_target,
                          config.adapt_fraction, /*target_frames=*/4);
-  ASSERT_GT(plan.payload_bits, 0u);
+  EXPECT_GT(plan.payload_bits, 0u);
   const std::size_t frames = 4;
   const BitVec alice = rng.random_bits(frames * plan.payload_bits);
   const BitVec bob = corrupt(alice, qber, rng);
@@ -294,7 +290,8 @@ TEST_P(BatchKeyEquivalence, MatchesSequentialSingleFrameProtocol) {
   const BatchReconcileStats stats = ldpc_reconcile_key_batch(
       alice, bob, qber, plan, frame_seeds, config, batch_private,
       /*arena=*/nullptr, alice_out, bob_out, &per_frame);
-  ASSERT_EQ(per_frame.size(), frames);
+  EXPECT_EQ(per_frame.size(), frames);
+  if (per_frame.size() != frames) return per_frame;
 
   // Sequential reference: same plan, same seeds, same private RNG stream.
   Xoshiro256 seq_private(seed * 7 + 1);
@@ -328,6 +325,15 @@ TEST_P(BatchKeyEquivalence, MatchesSequentialSingleFrameProtocol) {
   EXPECT_EQ(bob_out, expected_out);
   EXPECT_EQ(stats.leaked_bits, expected_leak);
   EXPECT_EQ(stats.frames, frames);
+  return per_frame;
+}
+
+class BatchKeyEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
+
+TEST_P(BatchKeyEquivalence, MatchesSequentialSingleFrameProtocol) {
+  const auto [seed, qber] = GetParam();
+  expect_batch_matches_sequential(seed, qber, LdpcReconcilerConfig{});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -335,6 +341,28 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(std::uint64_t{1}, std::uint64_t{2},
                                          std::uint64_t{3}),
                        ::testing::Values(0.005, 0.02, 0.04)));
+
+// The engine caps the batched decoder at 20 iterations. There, on the
+// punctured plans of a quiet channel, some frames fail their first decode
+// and converge only after a blind reveal; at the default budget the grid
+// above has no frame whose outcome a reveal decides. Equivalence must hold
+// for those frames too, and the grid must contain at least one: otherwise
+// a reveal applied with the wrong sign would pass unnoticed.
+TEST(BatchKeyEquivalenceAtEngineCap, BlindRescuesMatchSequentialProtocol) {
+  LdpcReconcilerConfig config;
+  config.decoder.max_iterations = 20;
+  std::size_t rescued = 0;
+  for (const std::uint64_t seed : {1, 2}) {
+    for (const double qber : {0.008, 0.012}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " qber " << qber);
+      for (const ReconcileOutcome& frame :
+           expect_batch_matches_sequential(seed, qber, config)) {
+        if (frame.blind_rounds >= 1 && frame.success) ++rescued;
+      }
+    }
+  }
+  EXPECT_GE(rescued, 1u) << "no frame of the grid was decided by a reveal";
+}
 
 // --- blind reconciliation beats fixed-rate on a quiet channel -----------
 
