@@ -193,16 +193,7 @@ Json Request::to_json() const& { return request_json(*this); }
 
 Json Request::to_json() && { return request_json(std::move(*this)); }
 
-Request Request::from_json(const Json& json) {
-  Request request;
-  request.method = json.at("method").as_string();
-  request.target = json.at("target").as_string();
-  request.caller = json.at("caller").as_string();
-  if (const Json* body = json.find("body")) request.body = *body;
-  return request;
-}
-
-Request Request::from_json(Json&& json) {
+Request Request::from_json(Json json) {
   Request request;
   request.method = std::move(json.at("method").as_string());
   request.target = std::move(json.at("target").as_string());
@@ -215,14 +206,7 @@ Json Response::to_json() const& { return response_json(*this); }
 
 Json Response::to_json() && { return response_json(std::move(*this)); }
 
-Response Response::from_json(const Json& json) {
-  Response response;
-  response.status = static_cast<int>(json.at("status").as_int());
-  if (const Json* body = json.find("body")) response.body = *body;
-  return response;
-}
-
-Response Response::from_json(Json&& json) {
+Response Response::from_json(Json json) {
   Response response;
   response.status = static_cast<int>(json.at("status").as_int());
   if (Json* body = json.find("body")) response.body = std::move(*body);

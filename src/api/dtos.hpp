@@ -126,10 +126,9 @@ struct Request {
   Json to_json() const&;
   /// Moves the strings and the body into the document instead of copying.
   Json to_json() &&;
-  static Request from_json(const Json& json);
-  /// Moves the strings and the body out of a document the caller is done
-  /// with (the dispatcher's freshly parsed request).
-  static Request from_json(Json&& json);
+  /// Takes the document by value and moves the strings and the body out
+  /// of it, so a freshly parsed request (an rvalue) is never deep-copied.
+  static Request from_json(Json json);
   friend bool operator==(const Request&, const Request&) = default;
 };
 
@@ -143,9 +142,8 @@ struct Response {
   Json to_json() const&;
   /// Moves the body into the document instead of copying it.
   Json to_json() &&;
-  static Response from_json(const Json& json);
-  /// Moves the body out of a document the caller is done with.
-  static Response from_json(Json&& json);
+  /// Takes the document by value and moves the body out of it.
+  static Response from_json(Json json);
   friend bool operator==(const Response&, const Response&) = default;
 };
 

@@ -490,28 +490,13 @@ void Json::dump_to(std::string& out) const {
   }
 }
 
-std::size_t Json::dump_size_hint() const {
-  if (is_null()) return 4;
-  if (is_bool()) return 5;
-  if (is_int()) return 20;     // "-9223372036854775808"
-  if (is_double()) return 24;  // "-2.2250738585072014e-308"
-  if (is_string()) return std::get<std::string>(value_).size() + 2;
-  std::size_t size = 2;  // brackets; a separator per element below
-  if (is_array()) {
-    for (const Json& element : std::get<Array>(value_)) {
-      size += element.dump_size_hint() + 1;
-    }
-  } else {
-    for (const auto& [key, value] : std::get<Object>(value_)) {
-      size += key.size() + 4 + value.dump_size_hint();
-    }
-  }
-  return size;
-}
+// Covers a key-delivery response (about 150 bytes for one key) in one
+// allocation; larger documents grow the buffer geometrically.
+constexpr std::size_t kDumpReserve = 256;
 
 std::string Json::dump() const {
   std::string out;
-  out.reserve(dump_size_hint());
+  out.reserve(kDumpReserve);
   dump_to(out);
   return out;
 }

@@ -17,12 +17,13 @@
 //     order, which they do from dump() output and from every DTO
 //     to_json(). Duplicate keys keep the last value, as before.
 //   * The parser and the serializer move runs of unescaped string bytes
-//     with one append each, and dump() writes into one buffer reserved
-//     from a size walk of the value.
-//   * The DTO envelopes (api/dtos.hpp) have rvalue overloads -
-//     Request/Response::from_json(Json&&) and to_json() && - that move the
-//     body between the document and the envelope instead of deep-copying
-//     it; the dispatcher's serialized path uses them.
+//     with one append each, and dump() writes into one pre-reserved
+//     buffer.
+//   * The DTO envelopes (api/dtos.hpp) move the body between the document
+//     and the envelope instead of deep-copying it:
+//     Request/Response::from_json(Json) take the document by value and
+//     to_json() && consumes the envelope; the dispatcher's serialized path
+//     uses both.
 //
 // Parsing failures throw qkdpp::Error{kSerialization} - the same taxonomy
 // the wire-protocol codecs use - and the dispatcher maps them to an
@@ -122,9 +123,6 @@ class Json {
     return std::holds_alternative<T>(value_);
   }
   void dump_to(std::string& out) const;
-  /// Bytes dump() reserves: exact for strings that need no escaping, the
-  /// widest form for numbers.
-  std::size_t dump_size_hint() const;
 
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string,
                Array, Object>

@@ -20,6 +20,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "service/link_orchestrator.hpp"
+#include "fuzz/json_round_trip.hpp"
 
 namespace qkdpp::api {
 namespace {
@@ -700,13 +701,34 @@ TEST(JsonCorpus, RandomDocumentsRoundTrip) {
   }
 }
 
+TEST(JsonCorpus, IntegralDoublesRoundTripByValue) {
+  // dump() drops the fraction of an integral double, so these read back
+  // as integers of the same value; the round-trip rule must accept that.
+  EXPECT_EQ(Json::parse("1.0").dump(), "1");
+  EXPECT_TRUE(Json::parse(Json::parse("1.0").dump()).is_int());
+  EXPECT_EQ(Json::parse("6e4").dump(), "60000");
+  EXPECT_EQ(Json::parse("-0.0").dump(), "-0");
+  EXPECT_EQ(Json::parse("-0").dump(), "0");
+  for (const char* text :
+       {"1.0", "-0.0", "6e4", "-0", R"([1.0,{"a":-0.0,"b":6e4}])",
+        "-9223372036854775809", "9223372036854775808", "1e300"}) {
+    EXPECT_TRUE(json_check::dump_round_trips(Json::parse(text))) << text;
+  }
+  // ...but still tells different values apart.
+  EXPECT_FALSE(json_check::same_value(Json(1.5), Json(1)));
+  EXPECT_FALSE(json_check::same_value(Json::parse("[1]"), Json::parse("[2]")));
+  EXPECT_FALSE(json_check::same_value(Json::parse(R"({"a":1})"),
+                                      Json::parse(R"({"b":1})")));
+  EXPECT_FALSE(json_check::same_value(Json(0), Json(false)));
+}
+
 /// Parses `text` as a request envelope: either it decodes, or the only
 /// failure is Error{kSerialization}.
 void expect_parses_or_rejects(const std::string& text) {
   try {
     const Json json = Json::parse(text);
-    EXPECT_EQ(Json::parse(json.dump()), json) << text;
-    (void)Request::from_json(Json(json));
+    EXPECT_TRUE(json_check::dump_round_trips(json)) << text;
+    (void)Request::from_json(json);
   } catch (const Error& error) {
     EXPECT_EQ(error.code(), ErrorCode::kSerialization) << text;
   } catch (const std::exception& error) {

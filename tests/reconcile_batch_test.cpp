@@ -274,6 +274,7 @@ std::vector<ReconcileOutcome> expect_batch_matches_sequential(
       plan_frame_batched(4 * 4096, qber, config.f_target,
                          config.adapt_fraction, /*target_frames=*/4);
   EXPECT_GT(plan.payload_bits, 0u);
+  if (plan.payload_bits == 0) return {};
   const std::size_t frames = 4;
   const BitVec alice = rng.random_bits(frames * plan.payload_bits);
   const BitVec bob = corrupt(alice, qber, rng);
