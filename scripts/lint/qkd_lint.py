@@ -25,6 +25,12 @@ Checks (all findings are errors; CI requires a zero-finding run):
                     include repo headers by their src/-relative path (no
                     "../" or "./" quoted includes), so every header works
                     with the single -Isrc include root.
+  unreached-module  every src/ file must be reachable from a deployment.
+                    Roots are examples/*.cpp plus each src/**/*.cpp without
+                    a header of the same name (engine/stages.cpp); the walk
+                    follows quoted #includes, and reaching X.hpp reaches
+                    X.cpp too. A src/ file the walk misses is code that only
+                    its own tests or benches run, and is a finding.
 
 Usage: qkd_lint.py [repo_root]
 Exit status: 0 on zero findings, 1 otherwise.
@@ -190,10 +196,39 @@ class Linter:
                     f'"{target}" does not resolve under the src/ include '
                     "root")
 
+    def check_unreached_modules(self):
+        src_root = self.root / "src"
+        if not src_root.is_dir():
+            return
+        modules = {p for p in src_root.rglob("*")
+                   if p.suffix in CXX_SUFFIXES and p.is_file()}
+        pending = sorted((self.root / "examples").glob("*.cpp"))
+        pending += sorted(p for p in modules if p.suffix == ".cpp"
+                          and not p.with_suffix(".hpp").is_file())
+        reached = set()
+        while pending:
+            path = pending.pop()
+            if path in reached:
+                continue
+            reached.add(path)
+            if path.suffix == ".hpp" and path.with_suffix(".cpp").is_file():
+                pending.append(path.with_suffix(".cpp"))
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for line in text.splitlines():
+                match = QUOTED_INCLUDE.match(line)
+                if match and (src_root / match.group(1)).is_file():
+                    pending.append(src_root / match.group(1))
+        for path in sorted(modules - reached):
+            self.report(
+                path, 1, "unreached-module",
+                "no example or engine translation unit reaches this file "
+                "through #includes; delete it or wire it into a deployment")
+
 
 def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else ".").resolve()
     linter = Linter(root)
+    linter.check_unreached_modules()
     scanned = 0
     for top in ("src", "tests", "bench", "examples"):
         base = root / top

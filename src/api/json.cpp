@@ -464,7 +464,12 @@ void Json::dump_to(std::string& out) const {
     std::array<char, 32> buf;
     const auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(),
                                          value);
-    out.append(buf.data(), ptr);
+    const std::string_view text(buf.data(),
+                                static_cast<std::size_t>(ptr - buf.data()));
+    out += text;
+    // The shortest form of an integral double ("1", "-0", "60000") would
+    // read back as an integer; a fraction keeps it a double.
+    if (text.find_first_of(".e") == std::string_view::npos) out += ".0";
   } else if (is_string()) {
     dump_string(std::get<std::string>(value_), out);
   } else if (is_array()) {

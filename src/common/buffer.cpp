@@ -97,7 +97,7 @@ std::uint64_t ByteReader::get_varint() {
     if (shift >= 63 && byte > 1) {
       throw_error(ErrorCode::kSerialization, "varint overflow");
     }
-    v |= std::uint64_t{byte & 0x7f} << shift;
+    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) break;
     shift += 7;
   }

@@ -26,9 +26,8 @@ thread_local std::vector<HeldLock> t_held;
 void rank_acquire(int rank, const char* name) {
   for (const HeldLock& held : t_held) {
     if (held.rank <= rank) {
-      // Deliberately fprintf+abort instead of QKDPP_LOG/throw: the logger
-      // itself takes a lock, and an exception would let a real deadlock
-      // escape the test that provoked it.
+      // Deliberately fprintf+abort instead of a throw: an exception would
+      // let a real deadlock escape the test that provoked it.
       std::fprintf(stderr,
                    "qkdpp lock-rank violation: acquiring \"%s\" (rank %d) "
                    "while holding \"%s\" (rank %d); a lock may only be "

@@ -1,7 +1,7 @@
 // libFuzzer target for the key-delivery JSON parser, the first code every
 // SAE request reaches. Each input is parsed; a document that parses must
-// keep the dump -> parse round-trip rule of json_round_trip.hpp (same
-// value back, numbers compared by value, and a stable dump from then on).
+// keep the dump -> parse round-trip rule of json_round_trip.hpp (the same
+// document back, type-exact, and a stable dump from then on).
 // A parse failure must be Error{kSerialization}: any other exception
 // escapes and libFuzzer reports it as a crash.
 //
